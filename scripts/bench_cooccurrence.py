@@ -12,10 +12,12 @@ the shared-memory fan-out are justified by):
    dispatch noise) on both ends.
 
 2. **Parallel data-plane sweep** — the same scan fanned over worker
-   processes with the shared-memory plane (publish once, manifest-only
-   tasks) versus the legacy pickled-``initargs`` plane (arrays
-   re-serialised into every worker).  Setup cost is what differs, so
-   the matrix is sized to make it visible.
+   processes on the shared-memory plane (publish once, manifest-only
+   tasks), with a cold pool per scan and with one warm pool reused
+   across scans.  A raw setup microbenchmark (no scan internals)
+   compares shipping the arrays by pickling them into every worker with
+   publishing them once into shared memory — the reason the scan uses
+   shared memory.
 
 Usage::
 
@@ -41,13 +43,9 @@ import scipy.sparse as sp
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.bitmatrix.packed import HAVE_HW_POPCOUNT, pack_csr_rows  # noqa: E402
-from repro.core.grouping.cooccurrence import (  # noqa: E402
-    _init_block_worker,
-    _scan_of_block,
-    blocked_scan,
-)
+from repro.core.grouping.cooccurrence import blocked_scan  # noqa: E402
 from repro.core.grouping.kernels import plan_kernels  # noqa: E402
-from repro.parallel import ParallelExecutor, WorkerPool, use_pool  # noqa: E402
+from repro.parallel import WorkerPool, use_pool  # noqa: E402
 
 SCHEMA_VERSION = 1
 
@@ -111,11 +109,11 @@ def bench_serial_kernels(quick: bool) -> list[dict]:
 
 
 def bench_data_planes(quick: bool) -> dict:
-    """Shared-memory versus pickled-``initargs`` fan-out setup cost.
+    """Shared-memory fan-out, cold and warm, plus the setup cost of
+    shipping arrays by pickle versus by shared memory.
 
-    Measures one full parallel scan per plane over a matrix big enough
-    for serialisation to matter, pinning the plane explicitly rather
-    than relying on the automatic shm-first fallback order.
+    The full scans run over a matrix big enough for array transfer to
+    matter, with an explicit ``block_rows`` so they always fan out.
     """
     n_rows, n_cols = (400, 600) if quick else (1500, 2000)
     density = 0.05
@@ -125,17 +123,7 @@ def bench_data_planes(quick: bool) -> dict:
     csr = _random_csr(n_rows, n_cols, density, seed=7)
     csr_t = csr.T.tocsr()
     norms = _norms(csr)
-    bounds = [(s, min(s + block_rows, n_rows))
-              for s in range(0, n_rows, block_rows)]
-    tasks = [(start, stop, "sparse") for start, stop in bounds]
-
-    def pickled_plane():
-        executor = ParallelExecutor(
-            workers,
-            initializer=_init_block_worker,
-            initargs=(csr, csr_t, norms, 1, False, False, None),
-        )
-        return executor.map(_scan_of_block, tasks)
+    n_blocks = -(-n_rows // block_rows)
 
     def shm_plane():
         with WorkerPool(workers) as pool, use_pool(pool):
@@ -144,15 +132,14 @@ def bench_data_planes(quick: bool) -> dict:
                 n_workers=workers, kernel="sparse",
             )
 
-    pickled = _best_of(repeats, pickled_plane)
     shm = _best_of(repeats, shm_plane)
 
-    # Setup-cost microbenchmark: the planes differ in how the arrays
-    # reach workers, so time exactly that, on a matrix big enough for
-    # data volume (not fixed syscall overhead) to dominate.  The pickled
-    # plane serialises the full initargs tuple once per worker and
-    # deserialises it inside each; the shm plane copies the arrays into
-    # one segment once and ships a few-hundred-byte manifest per task.
+    # Setup-cost microbenchmark: time only how the arrays reach workers,
+    # on a matrix big enough for data volume (not fixed syscall
+    # overhead) to dominate.  Pickling serialises the full array tuple
+    # once per worker and deserialises it inside each; shared memory
+    # copies the arrays into one segment once and ships a
+    # few-hundred-byte manifest per task.
     import pickle
 
     from repro.parallel import attach, publish
@@ -161,11 +148,11 @@ def bench_data_planes(quick: bool) -> dict:
     big = _random_csr(setup_rows, setup_cols, 0.15, seed=8)
     big_t = big.T.tocsr()
     big_norms = _norms(big)
-    initargs = (big, big_t, big_norms, 1, False, False, None)
+    pickled_arrays = (big, big_t, big_norms)
 
     def pickled_setup():
         for _ in range(workers):
-            pickle.loads(pickle.dumps(initargs))
+            pickle.loads(pickle.dumps(pickled_arrays))
 
     def shm_setup():
         with publish(
@@ -211,10 +198,9 @@ def bench_data_planes(quick: bool) -> dict:
         "density": density,
         "nnz": int(csr.nnz),
         "n_workers": workers,
-        "n_blocks": len(bounds),
+        "n_blocks": n_blocks,
         "array_bytes": payload_bytes,
         "seconds": {
-            "pickled_initargs": pickled,
             "shm_cold_pool": shm,
             "shm_warm_pool_per_scan": warm,
         },
@@ -230,9 +216,8 @@ def bench_data_planes(quick: bool) -> dict:
         },
     }
     print(
-        f"data planes ({n_rows}x{n_cols}, {workers} workers): "
-        f"pickled={pickled:.4f}s shm(cold)={shm:.4f}s "
-        f"shm(warm, per scan)={warm:.4f}s"
+        f"data plane ({n_rows}x{n_cols}, {workers} workers): "
+        f"shm(cold)={shm:.4f}s shm(warm, per scan)={warm:.4f}s"
     )
     print(
         f"setup cost ({setup_bytes / 1e6:.1f} MB of arrays, "

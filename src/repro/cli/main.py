@@ -120,8 +120,9 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="worker processes for detection (1 = serial, 0 = all cores); "
-        "the report is identical for every value",
+        help="worker processes for the co-occurrence scan (1 = serial, "
+        "0 = all cores); without --block-rows it fans out only when the "
+        "cost model predicts a win; the report is identical for every value",
     )
     analyze_parser.add_argument(
         "--block-rows",
@@ -423,7 +424,9 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="worker processes per analysis (1 = serial, 0 = all cores)",
+        help="worker processes for each analysis's co-occurrence scan "
+        "(1 = serial, 0 = all cores); the service holds them warm across "
+        "requests",
     )
     serve_parser.add_argument(
         "--block-rows",

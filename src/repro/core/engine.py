@@ -8,18 +8,18 @@ collects findings plus per-detector wall-clock timings into a
 
 Parallel execution
 ------------------
-With ``n_workers > 1`` the engine partitions the detector list into
-independent (detector, axis) work items (see ``Detector.partition``) and
-fans them out over a :class:`repro.parallel.ParallelExecutor` process
-pool.  RUAM/RPAM are built once in the parent and shipped to each worker
-during pool initialisation.  Findings are concatenated in partition
-order, which equals serial detection order, so the report — findings,
-ordering, and ``counts()`` — is identical for every worker count.
+``n_workers`` is the one worker count.  It sizes the blocked
+co-occurrence scan of the shared workspace (and of the co-occurrence
+finder), whose row blocks fan out over a
+:class:`repro.parallel.WorkerPool` on the shared-memory data plane —
+only when the kernel cost model predicts the scan outweighs the pool
+overhead, unless ``block_rows`` sizes the blocks explicitly.  The
+detectors always run in-process after the warm phase: they only read
+the finished product.  The report is identical for every worker count.
 """
 
 from __future__ import annotations
 
-import os
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Any
@@ -84,9 +84,11 @@ class AnalysisConfig:
     collapse_duplicates:
         Whether type 5 collapses exact duplicates before grouping.
     n_workers:
-        Worker processes for detection: ``1`` (default) runs every
-        detector serially in-process; ``None`` uses every core.  The
-        report is identical for every value.
+        Worker processes for the blocked co-occurrence scan: ``1``
+        (default) scans in-process; ``None`` uses every core.  Forwarded
+        to the co-occurrence finder (explicit ``finder_options`` win)
+        and to the workspace scan of every finder.  The report is
+        identical for every value.
     block_rows:
         Row-block size for the co-occurrence finder's blocked product
         (``None`` = one monolithic block).  Forwarded to the finder when
@@ -192,15 +194,24 @@ class AnalysisConfig:
 def effective_scan_workers(config: AnalysisConfig) -> int:
     """Resolved worker count the blocked scans will use under ``config``.
 
-    The engine-level ``n_workers`` parallelises *detection*; the blocked
-    co-occurrence scan fans out only when the co-occurrence finder's own
-    ``n_workers`` option asks for it.  The service uses this to decide
-    whether holding a warm :class:`~repro.parallel.WorkerPool` across
-    requests can pay off.
+    ``n_workers`` unless the co-occurrence finder's own ``n_workers``
+    option overrides it.  The service uses this to decide whether
+    holding a warm :class:`~repro.parallel.WorkerPool` across requests
+    can pay off.
     """
-    if config.finder == "cooccurrence":
-        return resolve_workers(config.finder_options.get("n_workers", 1))
-    return 1
+    return resolve_workers(
+        _scan_overrides(config).get("n_workers", config.n_workers)
+    )
+
+
+def _scan_overrides(config: AnalysisConfig) -> dict[str, Any]:
+    """Finder options that override the engine-level scan knobs.
+
+    Only the co-occurrence finder's options shape the workspace scan;
+    for other finders the engine knobs still shape the scan that serves
+    the shadowed detector.
+    """
+    return config.finder_options if config.finder == "cooccurrence" else {}
 
 
 class AnalysisEngine:
@@ -209,22 +220,12 @@ class AnalysisEngine:
     def __init__(self, config: AnalysisConfig | None = None) -> None:
         self.config = config or AnalysisConfig()
         self._detectors = self._build_detectors(self.config)
-        # Blocked-scan shape for the shared workspace.  The finder-level
-        # options win for the cooccurrence finder (they already default
-        # to the engine-level block_rows via _build_detectors); for other
-        # finders the engine knob still bounds the workspace scan that
-        # serves the shadowed detector.
-        finder_options = dict(self.config.finder_options)
-        if self.config.finder == "cooccurrence":
-            self._scan_block_rows = finder_options.get(
-                "block_rows", self.config.block_rows
-            )
-            self._scan_workers = finder_options.get("n_workers", 1)
-            self._scan_kernel = finder_options.get("kernel", self.config.kernel)
-        else:
-            self._scan_block_rows = self.config.block_rows
-            self._scan_workers = 1
-            self._scan_kernel = self.config.kernel
+        # Blocked-scan shape for the shared workspace.
+        overrides = _scan_overrides(self.config)
+        self._scan_block_rows = overrides.get(
+            "block_rows", self.config.block_rows
+        )
+        self._scan_kernel = overrides.get("kernel", self.config.kernel)
 
     @staticmethod
     def _build_detectors(config: AnalysisConfig) -> list[Detector]:
@@ -236,6 +237,7 @@ class AnalysisEngine:
             if config.block_rows is not None:
                 finder_options.setdefault("block_rows", config.block_rows)
             finder_options.setdefault("kernel", config.kernel)
+            finder_options.setdefault("n_workers", config.n_workers)
 
         detectors: list[Detector] = []
         enabled = set(config.enabled_types)
@@ -301,20 +303,17 @@ class AnalysisEngine:
         context = AnalysisContext(state)
         findings: list = []
         timings: dict[str, float] = {}
-        worker_stats: list[dict[str, Any]] | None = None
         n_workers = resolve_workers(self.config.n_workers)
+        scan_workers = effective_scan_workers(self.config)
         stack = ExitStack()
         # One worker pool per analyze() for the blocked scans: spawned
         # once, reused by every axis, closed (segments unlinked) on the
         # way out.  An ambient pool — e.g. one held warm by
-        # repro.service across requests — takes precedence.
-        if (
-            resolve_workers(self._scan_workers) > 1
-            and current_pool() is None
-        ):
-            pool = stack.enter_context(
-                WorkerPool(resolve_workers(self._scan_workers))
-            )
+        # repro.service across requests — takes precedence.  The pool
+        # spawns lazily, so a scan the cost model keeps in-process
+        # never starts a worker.
+        if scan_workers > 1 and current_pool() is None:
+            pool = stack.enter_context(WorkerPool(scan_workers))
             stack.enter_context(use_pool(pool))
         with stack, use_recorder(recorder):
             with recorder.span(
@@ -329,9 +328,7 @@ class AnalysisEngine:
                 # attributed to its own span rather than to whichever
                 # detector happens to run first (the paper computes the
                 # matrices once and reuses them across all inefficiency
-                # types).  The parallel path additionally relies on this:
-                # the matrices are built once here and shipped to every
-                # worker.
+                # types).
                 with recorder.span("engine.matrix_build") as build_span:
                     build_span.add("matrix.ruam_nnz", int(context.ruam.csr.nnz))
                     build_span.add("matrix.rpam_nnz", int(context.rpam.csr.nnz))
@@ -341,9 +338,7 @@ class AnalysisEngine:
                 # subset pairs, dense/signature artifacts), then the
                 # aggregated requests are flushed — one blocked
                 # co-occurrence pass per axis serves duplicates, similar,
-                # and shadowed alike.  Warming happens in the parent on
-                # the parallel path too, so the shipped context carries hot
-                # artifacts to every worker.
+                # and shadowed alike.  This is where the scan fans out.
                 warmable = [
                     d
                     for d in self._detectors
@@ -352,7 +347,7 @@ class AnalysisEngine:
                 if warmable:
                     context.workspace.configure(
                         block_rows=self._scan_block_rows,
-                        n_workers=self._scan_workers,
+                        n_workers=scan_workers,
                         kernel=self._scan_kernel,
                     )
                     with recorder.span("engine.workspace_warm") as warm_span:
@@ -360,167 +355,52 @@ class AnalysisEngine:
                             detector.warm(context)
                         context.workspace.flush()
                     timings["workspace_warm"] = warm_span.duration
-                if n_workers > 1:
-                    worker_stats = self._detect_parallel(
-                        context, n_workers, findings, timings, recorder
-                    )
-                else:
-                    for detector in self._detectors:
-                        with recorder.span(
-                            f"detector:{detector.name}"
-                        ) as span:
-                            found = detector.detect(context)
-                            span.add("findings", len(found))
-                        recorder.observe("detector.seconds", span.duration)
-                        findings.extend(found)
-                        timings[detector.name] = span.duration
+                for detector in self._detectors:
+                    with recorder.span(f"detector:{detector.name}") as span:
+                        found = detector.detect(context)
+                        span.add("findings", len(found))
+                    recorder.observe("detector.seconds", span.duration)
+                    findings.extend(found)
+                    timings[detector.name] = span.duration
         return Report(
             state=state,
             findings=findings,
             timings=timings,
             total_seconds=root.duration,
             config=self.config,
-            metrics=self._build_metrics(root, n_workers, worker_stats, recorder),
+            metrics=self._build_metrics(root, n_workers, recorder),
         )
 
     def _build_metrics(
-        self,
-        root: Any,
-        n_workers: int,
-        worker_stats: list[dict[str, Any]] | None,
-        recorder: Recorder,
+        self, root: Any, n_workers: int, recorder: Recorder
     ) -> dict[str, Any]:
         """Assemble ``Report.metrics`` from the run's root span.
 
         ``counters`` and ``spans`` are deterministic for a given input
-        and worker mode (and counter totals are identical between serial
-        and parallel runs of the same analysis); the ``per_worker``
-        breakdown reflects OS scheduling and is not.
+        and configuration, and counter totals are identical between
+        serial and parallel runs with the same blocking.
 
         Schema 2 adds ``histograms``: per-name summaries (count, sum,
         min/max, p50/p90/p99, log-spaced buckets) of the run's
         distribution metrics — per-block kernel timings, per-detector
         durations, published shm bytes.  Worker-local observations
-        travel back inside trace fragments and merge into the parent's
-        registry exactly (no observation lost or double-counted,
-        independent of worker count and merge order).  Observation
-        counts track the work partitioning: ``cooccurrence.block_seconds``
-        counts match serial and parallel runs exactly (warming happens in
-        the parent either way); ``detector.seconds`` counts one
-        observation per detector span serially and one per
-        (detector, axis) work item in parallel mode.
+        travel back inside the scan's block fragments and merge into the
+        parent's registry exactly (no observation lost or double-counted,
+        independent of worker count and merge order): ``detector.seconds``
+        counts one observation per detector, ``cooccurrence.block_seconds``
+        one per scanned block.
         """
-        workers: dict[str, Any] = {
-            "requested": self.config.n_workers,
-            "resolved": n_workers,
-            "mode": "parallel" if n_workers > 1 else "serial",
-        }
-        if worker_stats is not None:
-            workers["per_worker"] = worker_stats
         return {
             "schema": 2,
             "counters": counter_totals(root),
             "spans": span_count(root),
             "histograms": recorder.registry.histogram_summaries(),
-            "workers": workers,
+            "workers": {
+                "requested": self.config.n_workers,
+                "resolved": n_workers,
+                "mode": "parallel" if n_workers > 1 else "serial",
+            },
         }
-
-    def _detect_parallel(
-        self,
-        context: AnalysisContext,
-        n_workers: int,
-        findings: list,
-        timings: dict[str, float],
-        recorder: Recorder,
-    ) -> list[dict[str, Any]]:
-        """Fan independent (detector, axis) work items across workers.
-
-        Results are merged in partition order — which equals serial
-        detection order — so findings and counts match the serial engine
-        exactly; per-detector timings are the summed worker-side
-        durations of that detector's items.  Each worker records its
-        item into a local trace and ships it back with the findings; the
-        fragments are grafted under the ``engine.detect_parallel`` span
-        in the same partition order, mirroring the findings-merge
-        contract, so the merged span tree is deterministic too.
-
-        Returns the per-worker ``{"items", "seconds"}`` breakdown in
-        first-appearance order (worker identity is OS scheduling and is
-        the one non-deterministic part; it is therefore reported only
-        in ``Report.metrics``, never on spans).
-        """
-        from repro.parallel import ParallelExecutor
-
-        items: list[tuple[str, Detector]] = [
-            (detector.name, part)
-            for detector in self._detectors
-            for part in detector.partition()
-        ]
-        with recorder.span("engine.detect_parallel") as par_span:
-            par_span.annotate(n_workers=n_workers, n_items=len(items))
-            executor = ParallelExecutor(
-                n_workers,
-                initializer=_init_detection_worker,
-                initargs=(context, recorder.measure_memory),
-            )
-            results = executor.map(_detect_one, [part for _, part in items])
-            if executor.last_fallback_reason is not None:
-                par_span.annotate(fallback=executor.last_fallback_reason)
-            per_worker: dict[int, dict[str, Any]] = {}
-            for index, ((name, _), (part_findings, payload, worker_pid)) in (
-                enumerate(zip(items, results))
-            ):
-                findings.extend(part_findings)
-                timings[name] = timings.get(name, 0.0) + payload["duration"]
-                recorder.graft(payload, fragment=index)
-                stats = per_worker.setdefault(
-                    worker_pid, {"items": 0, "seconds": 0.0}
-                )
-                stats["items"] += 1
-                stats["seconds"] += payload["duration"]
-        return list(per_worker.values())
-
-
-#: Per-worker shared analysis context, installed by pool initialisation
-#: (or once in-process on the serial fallback path).
-_WORKER_CONTEXT: AnalysisContext | None = None
-#: Whether worker-side recorders opt into tracemalloc block counters.
-_WORKER_MEASURE_MEMORY: bool = False
-
-
-def _init_detection_worker(
-    context: AnalysisContext, measure_memory: bool = False
-) -> None:
-    """Install the shared context (and its workspace) in this worker.
-
-    The context arrives with whatever the engine's warm phase
-    materialised — matrices plus the per-axis workspace artifacts — so
-    it lands here exactly once per worker process and every
-    (detector × axis) work item scheduled here lands on warm artifacts
-    instead of re-deriving them.
-    """
-    global _WORKER_CONTEXT, _WORKER_MEASURE_MEMORY
-    _WORKER_CONTEXT = context
-    _WORKER_MEASURE_MEMORY = measure_memory
-
-
-def _detect_one(detector: Detector) -> tuple[list, dict[str, Any], int]:
-    """Process-pool task: run one detection work item.
-
-    Returns the findings, the item's trace fragment (recorded into a
-    worker-local recorder and serialised — the parent grafts it into its
-    own trace in partition order), and the worker's pid for the
-    per-worker breakdown.  The fragment's root duration is the
-    worker-side wall-clock of the item.
-    """
-    assert _WORKER_CONTEXT is not None
-    local = Recorder(measure_memory=_WORKER_MEASURE_MEMORY)
-    with use_recorder(local):
-        with local.span(f"detector:{detector.name}") as span:
-            found = detector.detect(_WORKER_CONTEXT)
-            span.add("findings", len(found))
-        local.observe("detector.seconds", local.traces[-1].duration)
-    return found, local.export_fragment(), os.getpid()
 
 
 def analyze(

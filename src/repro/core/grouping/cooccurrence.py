@@ -39,22 +39,29 @@ set, so downstream results are kernel-independent.
 
 Worker data plane
 -----------------
-When blocks fan out across processes the input arrays travel through
-``multiprocessing.shared_memory`` (:mod:`repro.parallel.shm`): published
-once per scan, attached read-only by workers, unlinked when the scan
-finishes.  Per-task payloads carry only a manifest and block bounds.
-If the ambient :class:`~repro.parallel.WorkerPool` is warm (engine- or
-service-owned), worker processes are reused across scans; without
-shared memory the scan falls back to the legacy pickled-``initargs``
-path, and without a usable pool to the serial loop — results are
-identical on every path.
+This scan is the package's only process fan-out.  When blocks fan out
+the input arrays travel through ``multiprocessing.shared_memory``
+(:mod:`repro.parallel.shm`): published once per scan, attached
+read-only by workers, unlinked when the scan finishes.  Per-task
+payloads carry only a manifest and block bounds.  If the ambient
+:class:`~repro.parallel.WorkerPool` is warm (engine- or service-owned),
+worker processes are reused across scans.  Without shared memory, or
+without a usable pool, the blocks run in the serial in-process loop —
+results are identical on every path.
+
+Fan-out is sized by the kernel cost model: with ``n_workers > 1`` and no
+explicit ``block_rows`` the scan splits into about
+:data:`BLOCKS_PER_WORKER` blocks per worker only when
+:func:`~repro.core.grouping.kernels.predicted_scan_ns` exceeds
+:data:`POOL_OVERHEAD_NS`; smaller scans stay one in-process block.
 """
 
 from __future__ import annotations
 
+import logging
 import tracemalloc
 from collections import OrderedDict
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 import numpy.typing as npt
@@ -64,6 +71,7 @@ from repro.bitmatrix.packed import pack_csr_rows
 from repro.core.grouping.base import GroupFinder, register_group_finder
 from repro.core.grouping.kernels import (
     plan_kernels,
+    predicted_scan_ns,
     reduce_block,
     scan_block_bits,
     scan_block_sparse,
@@ -72,7 +80,6 @@ from repro.core.grouping.kernels import (
 from repro.exceptions import ConfigurationError
 from repro.obs import Recorder, current_recorder, use_recorder
 from repro.parallel import (
-    ParallelExecutor,
     SharedMemoryUnavailable,
     WorkerPool,
     current_pool,
@@ -81,29 +88,26 @@ from repro.parallel import (
 )
 from repro.util import DisjointSet
 
-#: Read-only per-worker state installed by :func:`_init_block_worker`
-#: (legacy pickled path: shipped once per worker, not once per block).
-_WORKER_STATE: dict[str, Any] = {}
+logger = logging.getLogger(__name__)
+
+#: Pool overhead, in cost-model nanoseconds, that a derived fan-out must
+#: beat.  A cold 2-worker ``WorkerPool`` spawn + one map + close measured
+#: 15–25 ms (median 16 ms) on a 2-vCPU x86 VM (CPython 3.11), and
+#: publishing the scan into shared memory plus grafting per-block
+#: fragments adds a few ms more; 25 ms covers both.  The model
+#: under-predicts real scan time (it prices only the product, not the
+#: per-block reduction), so the gate errs towards staying serial.  For
+#: scale: a 2,500-role axis at 12% density predicts ~90 ms and fans out;
+#: every axis of a 1/10-scale planted org predicts under 1 ms and stays
+#: in-process.
+POOL_OVERHEAD_NS = 25e6
+
+#: Blocks per worker when the scan derives its own blocking: enough for
+#: the pool to balance uneven blocks, few enough that per-task overhead
+#: stays small.
+BLOCKS_PER_WORKER = 4
 
 _EMPTY = np.empty(0, dtype=np.int64)
-
-
-def _init_block_worker(
-    csr: sp.csr_matrix,
-    csr_t: sp.csr_matrix,
-    norms: npt.NDArray[np.int64],
-    k: int | None,
-    measure_memory: bool = False,
-    collect_subsets: bool = False,
-    words: npt.NDArray[np.uint64] | None = None,
-) -> None:
-    _WORKER_STATE["csr"] = csr
-    _WORKER_STATE["csr_t"] = csr_t
-    _WORKER_STATE["norms"] = norms
-    _WORKER_STATE["k"] = k
-    _WORKER_STATE["measure_memory"] = measure_memory
-    _WORKER_STATE["collect_subsets"] = collect_subsets
-    _WORKER_STATE["words"] = words
 
 
 def _scan_block(
@@ -187,33 +191,7 @@ def _scan_block(
     return matched_rows, matched_cols, hamming, sub_rows, sub_cols
 
 
-def _scan_of_block(task: tuple[int, int, str]) -> tuple[
-    tuple[npt.NDArray[np.int64], ...], dict[str, Any]
-]:
-    """Legacy pool task (pickled ``initargs`` data plane).
-
-    Also returns the block's trace fragment, recorded into a
-    worker-local recorder, so the parent can graft the worker-side spans
-    into its own trace in deterministic block order.
-    """
-    start, stop, kernel = task
-    local = Recorder(measure_memory=_WORKER_STATE.get("measure_memory", False))
-    with use_recorder(local):
-        arrays = _scan_block(
-            _WORKER_STATE["csr"],
-            _WORKER_STATE["csr_t"],
-            _WORKER_STATE["norms"],
-            _WORKER_STATE["k"],
-            _WORKER_STATE["collect_subsets"],
-            start,
-            stop,
-            kernel=kernel,
-            words=_WORKER_STATE["words"],
-        )
-    return arrays, local.export_fragment()
-
-
-class _ScanSpec:
+class _ScanSpec(NamedTuple):
     """Per-scan constants shipped with every shared-memory task.
 
     A few hundred bytes: the segment manifest plus scalar scan
@@ -221,29 +199,13 @@ class _ScanSpec:
     tuples — that is the zero-copy contract the shm tests pin.
     """
 
-    __slots__ = (
-        "manifest", "shape", "shape_t", "k", "collect_subsets",
-        "measure_memory", "has_words",
-    )
-
-    def __init__(
-        self, manifest, shape, shape_t, k, collect_subsets,
-        measure_memory, has_words,
-    ):
-        self.manifest = manifest
-        self.shape = shape
-        self.shape_t = shape_t
-        self.k = k
-        self.collect_subsets = collect_subsets
-        self.measure_memory = measure_memory
-        self.has_words = has_words
-
-    def __getstate__(self):
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __setstate__(self, state):
-        for name, value in zip(self.__slots__, state):
-            setattr(self, name, value)
+    manifest: Any
+    shape: tuple[int, int]
+    shape_t: tuple[int, int]
+    k: int | None
+    collect_subsets: bool
+    measure_memory: bool
+    has_words: bool
 
 
 #: Worker-side cache of attached segments and the arrays rebuilt over
@@ -357,13 +319,15 @@ def blocked_scan(
     densest single block for every combination of collections.  Each
     block runs the kernel :func:`~repro.core.grouping.kernels.plan_kernels`
     chose for it; the per-kernel block counts are recorded as
-    ``cooccurrence.kernel_blocks.<name>`` counters.  Blocks fan out over
-    a process pool when ``n_workers > 1`` — preferring the ambient
-    :class:`~repro.parallel.WorkerPool` and the shared-memory data plane,
-    falling back to pickled ``initargs`` and ultimately the serial loop —
-    and results plus grafted trace fragments are concatenated in block
-    order, so the outcome is identical for every ``block_rows`` / worker
-    count / kernel / data plane.
+    ``cooccurrence.kernel_blocks.<name>`` counters.
+
+    With ``n_workers > 1`` blocks fan out over the ambient
+    :class:`~repro.parallel.WorkerPool` (an ephemeral one when none is
+    installed) on the shared-memory data plane.  When ``block_rows`` is
+    ``None`` the scan sizes the fan-out itself (see
+    :data:`POOL_OVERHEAD_NS`).  Results plus grafted trace fragments are
+    concatenated in block order, so the outcome is identical for every
+    ``block_rows`` / worker count / kernel.
 
     Emits one ``cooccurrence.block`` span per block (under whatever span
     is currently open) and returns the number of blocks on the result;
@@ -374,15 +338,18 @@ def blocked_scan(
     n_rows = csr.shape[0]
     if n_rows == 0:
         return ScanResult(k, _EMPTY, _EMPTY, _EMPTY, _EMPTY, _EMPTY, 0)
+    # M and Mᵀ are both kept in CSR so every block product is a
+    # CSR @ CSR multiply (scipy would otherwise re-convert the lazy
+    # transpose view once per block).
+    csr_t = csr.T.tocsr()
+    workers = resolve_workers(n_workers)
+    if block_rows is None and workers > 1:
+        block_rows = _fan_out_block_rows(csr, csr_t, kernel, workers)
     effective_block = block_rows or n_rows
     bounds = [
         (start, min(start + effective_block, n_rows))
         for start in range(0, n_rows, effective_block)
     ]
-    # M and Mᵀ are both kept in CSR so every block product is a
-    # CSR @ CSR multiply (scipy would otherwise re-convert the lazy
-    # transpose view once per block).
-    csr_t = csr.T.tocsr()
     recorder = current_recorder()
 
     plan = plan_kernels(csr, csr_t, bounds, kernel)
@@ -392,13 +359,13 @@ def blocked_scan(
             recorder.add(f"cooccurrence.kernel_blocks.{name}", count)
     packed = _resolve_words(words, csr) if "bits" in plan else None
 
-    workers = resolve_workers(n_workers)
+    pieces = None
     if workers > 1 and len(bounds) > 1:
         pieces = _scan_parallel(
             csr, csr_t, norms, k, collect_subsets, bounds, plan, packed,
             workers, recorder,
         )
-    else:
+    if pieces is None:
         pieces = [
             _scan_block(
                 csr, csr_t, norms, k, collect_subsets, start, stop,
@@ -410,38 +377,38 @@ def blocked_scan(
     return ScanResult(k, *merged, n_blocks=len(bounds))
 
 
+def _fan_out_block_rows(csr, csr_t, kernel: str, workers: int) -> int | None:
+    """Block size for a fan-out the caller did not size, or ``None``.
+
+    About :data:`BLOCKS_PER_WORKER` blocks per worker when the cost
+    model predicts the scan outweighs the pool overhead; otherwise
+    ``None`` — one block, scanned in-process.
+    """
+    if predicted_scan_ns(csr, csr_t, kernel) <= POOL_OVERHEAD_NS:
+        return None
+    return -(-csr.shape[0] // (BLOCKS_PER_WORKER * workers))
+
+
 def _scan_parallel(
     csr, csr_t, norms, k, collect_subsets, bounds, plan, packed,
     workers, recorder,
-) -> list[tuple[npt.NDArray[np.int64], ...]]:
-    """Fan blocks over workers: shm data plane first, pickled fallback.
+) -> list[tuple[npt.NDArray[np.int64], ...]] | None:
+    """Fan blocks over workers on the shared-memory data plane.
 
     Publishes the scan's arrays into one shared-memory segment and maps
     manifest-only tasks over the ambient pool (creating an ephemeral one
-    when none is installed).  When shared memory is unavailable the
-    legacy ``initargs`` plane re-pickles the arrays into each worker —
-    slower, never wrong.
+    when none is installed).  Returns ``None`` when shared memory is
+    unavailable: the caller then runs the serial block loop.
     """
     try:
         handle = _publish_scan(csr, csr_t, norms, packed)
     except SharedMemoryUnavailable as error:
         recorder.add("shm.unavailable", 1)
-        executor = ParallelExecutor(
-            workers,
-            initializer=_init_block_worker,
-            initargs=(
-                csr, csr_t, norms, k, recorder.measure_memory,
-                collect_subsets, packed,
-            ),
+        logger.warning(
+            "shared memory unavailable (%s); scanning %d block(s) "
+            "serially in-process", error, len(bounds),
         )
-        pieces = []
-        tasks = [(start, stop, kern) for (start, stop), kern in zip(bounds, plan)]
-        for index, (arrays, payload) in enumerate(
-            executor.map(_scan_of_block, tasks)
-        ):
-            recorder.graft(payload, fragment=index)
-            pieces.append(arrays)
-        return pieces
+        return None
 
     recorder.add("shm.segments_published", 1)
     recorder.add("shm.bytes_published", handle.nbytes)
@@ -560,8 +527,10 @@ class CooccurrenceGroupFinder(GroupFinder):
         product per block.  Output is identical for every value.
     n_workers:
         Worker processes for the blocked product (``None`` = all cores).
-        With one worker, or a single block, everything runs in-process.
-        Output is identical for every worker count.
+        With one worker, or a single block, everything runs in-process;
+        without ``block_rows`` the scan fans out only when the cost
+        model predicts a win.  Output is identical for every worker
+        count.
     kernel:
         Per-block kernel choice: ``sparse`` (CSR matmul), ``bits``
         (packed AND + popcount), or ``auto`` (cost-model dispatch, the

@@ -85,6 +85,18 @@ def sparse_row_flops(csr, csr_t) -> npt.NDArray[np.int64]:
     return running[csr.indptr[1:]] - running[csr.indptr[:-1]]
 
 
+def _block_costs(csr, csr_t, bounds: list[tuple[int, int]]):
+    """Estimated ``(sparse_ns, bits_ns)`` of each block under the model."""
+    n_rows, n_cols = csr.shape
+    n_words = max(1, -(-int(n_cols) // 64))
+    row_flops = sparse_row_flops(csr, csr_t)
+    word_ns = bits_ns_per_word()
+    for start, stop in bounds:
+        sparse_ns = SPARSE_NS_PER_FLOP * float(row_flops[start:stop].sum())
+        bits_ns = word_ns * float((stop - start) * n_rows * n_words)
+        yield sparse_ns, bits_ns
+
+
 def plan_kernels(
     csr,
     csr_t,
@@ -102,16 +114,27 @@ def plan_kernels(
     validate_kernel(kernel)
     if kernel != "auto":
         return [kernel] * len(bounds)
-    n_rows, n_cols = csr.shape
-    n_words = max(1, -(-int(n_cols) // 64))
-    row_flops = sparse_row_flops(csr, csr_t)
-    word_ns = bits_ns_per_word()
-    plan = []
-    for start, stop in bounds:
-        sparse_ns = SPARSE_NS_PER_FLOP * float(row_flops[start:stop].sum())
-        bits_ns = word_ns * float((stop - start) * n_rows * n_words)
-        plan.append("bits" if bits_ns < sparse_ns else "sparse")
-    return plan
+    return [
+        "bits" if bits_ns < sparse_ns else "sparse"
+        for sparse_ns, bits_ns in _block_costs(csr, csr_t, bounds)
+    ]
+
+
+def predicted_scan_ns(csr, csr_t, kernel: str = "auto") -> float:
+    """Cost-model estimate of one whole-matrix scan, in nanoseconds.
+
+    The same model :func:`plan_kernels` dispatches on, evaluated over a
+    single block: the named kernel's cost, or the cheaper of the two
+    for ``auto``.  The blocked scan compares it with the measured pool
+    overhead to decide whether fanning out can pay.
+    """
+    validate_kernel(kernel)
+    ((sparse_ns, bits_ns),) = _block_costs(csr, csr_t, [(0, csr.shape[0])])
+    if kernel == "sparse":
+        return sparse_ns
+    if kernel == "bits":
+        return bits_ns
+    return min(sparse_ns, bits_ns)
 
 
 def scan_block_sparse(

@@ -32,9 +32,10 @@ This module is the memoisation layer that preserves it:
   representatives (identical rows have identical distances to
   everything), so collapsing costs no additional product pass.
 * :class:`AnalysisWorkspace` — the per-context bundle, hung off
-  :class:`~repro.core.detectors.base.AnalysisContext` and shipped with
-  it, so parallel workers receive warm artifacts instead of rebuilding
-  them per (detector × axis) work item.
+  :class:`~repro.core.detectors.base.AnalysisContext`, so every
+  detector lands on the artifacts the engine warmed.  The scan is the
+  one stage that fans out across processes (its row blocks; see
+  :func:`~repro.core.grouping.cooccurrence.blocked_scan`).
 
 Every artifact access records a ``workspace.artifact_hits`` /
 ``workspace.artifact_misses`` counter (misses also record
@@ -570,9 +571,8 @@ class AnalysisWorkspace:
     """Per-context bundle of :class:`AxisWorkspace` instances.
 
     Hung off :class:`~repro.core.detectors.base.AnalysisContext` as a
-    cached property, so it travels *with* the context: parallel
-    detection workers receive whatever the engine warmed in the parent
-    and every (detector × axis) item lands on hot artifacts.
+    cached property, so every detector run over the context lands on
+    whatever the engine warmed.
     """
 
     #: Axis name -> context matrix attribute.

@@ -1,16 +1,17 @@
-"""Parallel execution substrate shared by the grouping kernels and the
-analysis engine.
+"""Parallel execution substrate of the blocked co-occurrence scan.
 
-See :mod:`repro.parallel.executor` for the execution model and the
-determinism contract.
+One pool abstraction (:class:`WorkerPool`, see :mod:`repro.parallel.pool`
+for the execution model and the determinism contract) and one data
+plane (:mod:`repro.parallel.shm`, zero-copy array publication).
 """
 
-from repro.parallel.executor import (
-    ParallelExecutor,
+from repro.parallel.pool import (
+    WorkerPool,
+    current_pool,
     resolve_workers,
+    use_pool,
     validate_workers,
 )
-from repro.parallel.pool import WorkerPool, current_pool, use_pool
 from repro.parallel.shm import (
     AttachedSegment,
     SegmentHandle,
@@ -22,7 +23,6 @@ from repro.parallel.shm import (
 
 __all__ = [
     "AttachedSegment",
-    "ParallelExecutor",
     "SegmentHandle",
     "SegmentManifest",
     "SharedMemoryUnavailable",

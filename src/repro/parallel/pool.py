@@ -1,16 +1,21 @@
-"""A reusable, context-managed worker pool for the scan data plane.
+"""The one process pool of the package: a reusable, context-managed
+worker pool for the blocked co-occurrence scan.
 
-:class:`~repro.parallel.executor.ParallelExecutor` creates a fresh
-``ProcessPoolExecutor`` per ``map`` call — correct, but the spawn cost
-(fork + interpreter warm-up) and the ``initargs`` pickling cost recur on
-every call.  :class:`WorkerPool` keeps one pool alive across calls:
+:class:`WorkerPool` keeps one ``ProcessPoolExecutor`` alive across
+calls, so the spawn cost (fork + interpreter warm-up) is paid once:
 
 * the engine installs one pool per ``analyze()`` (reused across axes);
 * :class:`repro.service.AnalysisService` can hold one warm across
   requests, closing it — and any shared-memory segments it still owns —
   during SIGTERM drain;
 * the blocked scan discovers the ambient pool via :func:`current_pool`
-  and publishes arrays through shared memory instead of ``initargs``.
+  and publishes its arrays through shared memory.
+
+``map`` preserves input order and runs serially in-process for one
+worker, at most one task, or when the pool cannot be used (sandboxes
+without ``fork``/semaphores, unpicklable payloads).  Given pure task
+functions it returns exactly what ``[fn(item) for item in items]``
+returns, for every worker count.
 
 Because the pool outlives any single call, tasks must be self-contained
 (no ``initializer``): the scan ships a tiny shared-memory manifest per
@@ -33,8 +38,8 @@ from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
+from repro.exceptions import ConfigurationError
 from repro.obs import current_recorder
-from repro.parallel.executor import resolve_workers
 from repro.parallel.shm import SegmentHandle
 
 logger = logging.getLogger(__name__)
@@ -46,6 +51,37 @@ _FALLBACK_ERRORS = (
     OSError,  # no fork / no semaphores in restricted sandboxes
     PermissionError,
 )
+
+
+def validate_workers(n_workers: int | None) -> int | None:
+    """Validate a worker-count option without resolving ``None``.
+
+    The single source of truth for worker-count validation — both
+    :class:`~repro.core.engine.AnalysisConfig` and
+    :func:`resolve_workers` route through it, so the error message is
+    identical everywhere.  Returns the normalised value (``None`` or an
+    ``int >= 1``).
+    """
+    if n_workers is None:
+        return None
+    n_workers = int(n_workers)
+    if n_workers < 1:
+        raise ConfigurationError(
+            f"n_workers must be >= 1 or None, got {n_workers}"
+        )
+    return n_workers
+
+
+def resolve_workers(n_workers: int | None) -> int:
+    """Normalise a worker-count option.
+
+    ``None`` means "use every core" (``os.cpu_count()``); any explicit
+    value must be >= 1.
+    """
+    n_workers = validate_workers(n_workers)
+    if n_workers is None:
+        return max(1, os.cpu_count() or 1)
+    return n_workers
 
 
 class WorkerPool:
@@ -63,7 +99,6 @@ class WorkerPool:
         self._pid = os.getpid()
         self._executor: ProcessPoolExecutor | None = None
         self._segments: list[SegmentHandle] = []
-        self._maps = 0
         self._closed = False
         # Safety net: unlink any still-registered segments even if the
         # owner forgets to close (e.g. a test bails early).
@@ -99,10 +134,9 @@ class WorkerPool:
     def map(self, fn: Callable[[Any], Any], items: Iterable[Any]) -> list[Any]:
         """Order-preserving map over the (reused) pool.
 
-        Mirrors :meth:`ParallelExecutor.map` semantics: serial for one
-        worker or at most one task, serial fallback (with a WARNING and
-        a ``parallel.fallbacks`` counter) when the pool cannot be used.
-        Reuse of an already-warm executor is counted as
+        Serial for one worker or at most one task; serial fallback (with
+        a WARNING and a ``parallel.fallbacks`` counter) when the pool
+        cannot be used.  Reuse of an already-warm executor is counted as
         ``parallel.pool_reuses`` so the saved spawns are observable.
         The span's duration feeds the ``parallel.map_seconds`` histogram.
         """
@@ -140,7 +174,6 @@ class WorkerPool:
         span.annotate(mode="pool", pool="warm" if reused else "cold")
         if reused:
             span.add("parallel.pool_reuses", 1)
-        self._maps += 1
         return results
 
     def _ensure_executor(self) -> ProcessPoolExecutor:
@@ -150,8 +183,14 @@ class WorkerPool:
 
     def _discard_executor(self) -> None:
         if self._executor is not None:
+            # No cancel_futures: on CPython 3.11 cancelling rebinds the
+            # manager thread's pending-work dict, so a task whose
+            # pickling fails afterwards is never removed from it and the
+            # manager thread waits forever — blocking interpreter exit,
+            # which joins that thread.  Letting queued tasks drain
+            # avoids the hang.
             try:
-                self._executor.shutdown(wait=False, cancel_futures=True)
+                self._executor.shutdown(wait=False)
             except Exception:  # pragma: no cover - broken pool teardown
                 pass
             self._executor = None

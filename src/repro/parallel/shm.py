@@ -2,8 +2,8 @@
 
 The blocked co-occurrence scan ships large read-only arrays (CSR
 ``data``/``indices``/``indptr``, packed words, norms) to worker
-processes.  Pickling them into every worker via ``initargs`` pays a full
-serialise + copy per worker per call; publishing them once into a named
+processes.  Pickling them into every worker would pay a full serialise +
+copy per worker per call; publishing them once into a named
 shared-memory segment lets every worker map the same physical pages
 read-only and rebuild numpy views with no copy at all.
 
@@ -46,9 +46,9 @@ class SharedMemoryUnavailable(ReproError):
     """Shared memory cannot be created in this environment.
 
     Raised by :func:`publish` when the platform refuses segment creation
-    (no ``/dev/shm``, sandboxed semaphores, …).  Callers fall back to
-    the pickled ``initargs`` path — shared memory is an optimisation,
-    never a requirement.
+    (no ``/dev/shm``, sandboxed semaphores, …).  The blocked scan then
+    runs its blocks serially in-process — shared memory is an
+    optimisation, never a requirement.
     """
 
 

@@ -90,6 +90,13 @@ from repro.service.store import SnapshotMeta, SnapshotStore
 
 __all__ = ["ServiceConfig", "AnalysisService", "ServiceServer"]
 
+#: Largest request body the HTTP binding reads.  A larger declared
+#: ``Content-Length`` is answered with 413 before any of the body is
+#: read, so one client cannot make a handler thread buffer an arbitrary
+#: amount of memory.  16 MiB holds mutation batches of well over 100k
+#: edits; every other endpoint takes a few hundred bytes at most.
+MAX_BODY_BYTES = 16 * 1024 * 1024
+
 
 @dataclass(frozen=True)
 class ServiceConfig:
@@ -1058,6 +1065,19 @@ class _ServiceHTTPHandler(BaseHTTPRequestHandler):
             length = int(self.headers.get("Content-Length") or 0)
         except ValueError:
             length = 0
+        if length > MAX_BODY_BYTES:
+            # The unread body would be parsed as the next request on a
+            # keep-alive connection, so answer and close instead.
+            self.close_connection = True
+            self._respond(
+                413,
+                {
+                    "error": f"request body of {length} bytes exceeds "
+                    f"the {MAX_BODY_BYTES}-byte limit"
+                },
+                {"Connection": "close"},
+            )
+            return
         body = self.rfile.read(length) if length > 0 else b""
         status, payload, headers = self.service.handle(
             method,
@@ -1066,6 +1086,14 @@ class _ServiceHTTPHandler(BaseHTTPRequestHandler):
             deadline_header=self.headers.get("X-Deadline"),
             trace_id_header=self.headers.get("X-Trace-Id"),
         )
+        if self.service.is_draining:
+            headers.setdefault("Connection", "close")
+            self.close_connection = True
+        self._respond(status, payload, headers)
+
+    def _respond(
+        self, status: int, payload: Any, headers: dict[str, str]
+    ) -> None:
         if isinstance(payload, str):
             # Prometheus text exposition (and any future text payloads).
             data = payload.encode("utf-8")
@@ -1073,9 +1101,6 @@ class _ServiceHTTPHandler(BaseHTTPRequestHandler):
         else:
             data = json.dumps(payload, sort_keys=True).encode("utf-8") + b"\n"
             content_type = "application/json"
-        if self.service.is_draining:
-            headers.setdefault("Connection", "close")
-            self.close_connection = True
         try:
             self.send_response(status)
             self.send_header("Content-Type", content_type)

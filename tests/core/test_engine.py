@@ -128,3 +128,72 @@ class TestEngine:
         report = analyze(RbacState())
         assert report.findings == []
         assert all(value == 0 for value in report.counts().values())
+
+
+class TestScanFanOut:
+    """``n_workers`` drives the blocked scan, gated by the cost model."""
+
+    @staticmethod
+    def _pool_maps(recorder) -> int:
+        return sum(
+            1
+            for trace in recorder.traces
+            for _, _, span in trace.walk()
+            if span.name == "parallel.map"
+            and span.attributes.get("mode") == "pool"
+        )
+
+    def test_n_workers_forwarded_to_cooccurrence_finder(self):
+        engine = AnalysisEngine(AnalysisConfig(n_workers=3))
+        by_name = {d.name: d for d in engine.detectors}
+        assert by_name["duplicate_roles"]._finder._n_workers == 3
+        explicit = AnalysisEngine(
+            AnalysisConfig(n_workers=3, finder_options={"n_workers": 1})
+        )
+        by_name = {d.name: d for d in explicit.detectors}
+        assert by_name["similar_roles"]._finder._n_workers == 1
+
+    def test_heavy_axis_fans_out_under_the_gate(self):
+        from repro.core.state import RbacState
+        from repro.core.taxonomy import Axis
+        from repro.datagen import MatrixSpec, generate_matrix
+        from repro.obs import Recorder
+
+        # The per-axis size of the parallel ablation's dual-axis state:
+        # the cost model predicts ~90 ms, well above the pool overhead.
+        ruam = generate_matrix(
+            MatrixSpec(n_roles=2500, n_cols=400, row_density=0.12, seed=2)
+        ).matrix
+        state = RbacState.build(
+            users=[f"u{j}" for j in range(ruam.shape[1])],
+            roles=[f"r{i}" for i in range(ruam.shape[0])],
+            permissions=[],
+            user_assignments=[
+                (f"r{i}", f"u{j}") for i, j in zip(*ruam.nonzero())
+            ],
+            permission_assignments=[],
+        )
+        options = dict(
+            enabled_types=(InefficiencyType.DUPLICATE_ROLES,),
+            axes=(Axis.USERS,),
+        )
+        recorder = Recorder()
+        parallel = analyze(
+            state, AnalysisConfig(n_workers=2, **options), recorder=recorder
+        )
+        assert self._pool_maps(recorder) == 1
+        # About four blocks per worker: ceil(2500 / 8) = 313 rows each.
+        assert recorder.counter_totals()["cooccurrence.blocks"] == 8
+        serial = analyze(state, AnalysisConfig(**options))
+        assert [f.entity_ids for f in parallel.findings] == [
+            f.entity_ids for f in serial.findings
+        ]
+
+    def test_planted_org_scans_in_process(self, small_org_state):
+        from repro.obs import Recorder
+
+        recorder = Recorder()
+        analyze(small_org_state, AnalysisConfig(n_workers=2), recorder=recorder)
+        assert self._pool_maps(recorder) == 0
+        # One in-process block per axis, as in a serial run.
+        assert recorder.counter_totals()["cooccurrence.blocks"] == 2

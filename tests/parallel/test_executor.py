@@ -1,27 +1,33 @@
-"""Unit tests for the process-pool executor and its serial fallback."""
+"""Unit tests for the worker-count helpers and ``WorkerPool.map``'s
+execution contract: input order, serial paths, and the serial fallback.
+
+Pool lifecycle (reuse, segment registry, ambient pool) is covered in
+``test_shm.py``.
+"""
 
 from __future__ import annotations
 
+import logging
 import os
 
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.parallel import ParallelExecutor, resolve_workers
-
-_INIT_STATE: dict[str, int] = {}
+from repro.obs import Recorder, use_recorder
+from repro.parallel import WorkerPool, resolve_workers
 
 
 def _square(x: int) -> int:
     return x * x
 
 
-def _install_offset(offset: int) -> None:
-    _INIT_STATE["offset"] = offset
-
-
-def _add_offset(x: int) -> int:
-    return x + _INIT_STATE["offset"]
+def _map_modes(recorder: Recorder) -> list[str]:
+    return [
+        span.attributes["mode"]
+        for trace in recorder.traces
+        for _, _, span in trace.walk()
+        if span.name == "parallel.map"
+    ]
 
 
 class TestResolveWorkers:
@@ -41,60 +47,47 @@ class TestResolveWorkers:
 
 class TestSerialPath:
     def test_single_worker_maps_in_order(self):
-        executor = ParallelExecutor(n_workers=1)
-        assert executor.map(_square, range(6)) == [0, 1, 4, 9, 16, 25]
-        assert executor.last_fallback_reason is None
+        with WorkerPool(1) as pool:
+            assert pool.map(_square, range(6)) == [0, 1, 4, 9, 16, 25]
+            assert not pool.warm
 
     def test_single_item_stays_in_process(self):
         # Closures are unpicklable; a pool would choke on them, but one
         # item never leaves the process.
         state = []
-        executor = ParallelExecutor(n_workers=8)
-        assert executor.map(lambda x: state.append(x) or x, [42]) == [42]
+        with WorkerPool(8) as pool:
+            assert pool.map(lambda x: state.append(x) or x, [42]) == [42]
+            assert not pool.warm
         assert state == [42]
 
-    def test_initializer_runs_in_process(self):
-        executor = ParallelExecutor(
-            n_workers=1, initializer=_install_offset, initargs=(100,)
-        )
-        assert executor.map(_add_offset, [1, 2]) == [101, 102]
-
     def test_empty_items(self):
-        assert ParallelExecutor(n_workers=4).map(_square, []) == []
+        with WorkerPool(4) as pool:
+            assert pool.map(_square, []) == []
 
 
 class TestPoolPath:
     def test_results_in_input_order(self):
-        executor = ParallelExecutor(n_workers=2)
-        assert executor.map(_square, range(10)) == [x * x for x in range(10)]
-
-    def test_initializer_ships_state_to_workers(self):
-        executor = ParallelExecutor(
-            n_workers=2, initializer=_install_offset, initargs=(7,)
-        )
-        assert executor.map(_add_offset, [0, 1, 2, 3]) == [7, 8, 9, 10]
+        recorder = Recorder()
+        with WorkerPool(2) as pool, use_recorder(recorder):
+            assert pool.map(_square, range(10)) == [x * x for x in range(10)]
+        assert _map_modes(recorder) == ["pool"]
 
     def test_unpicklable_fn_falls_back_serially(self):
-        executor = ParallelExecutor(n_workers=2)
-        doubled = executor.map(lambda x: 2 * x, [1, 2, 3])
-        assert doubled == [2, 4, 6]
-        assert executor.last_fallback_reason is not None
+        recorder = Recorder()
+        with WorkerPool(2) as pool, use_recorder(recorder):
+            assert pool.map(lambda x: 2 * x, [1, 2, 3]) == [2, 4, 6]
+            # The broken executor is discarded, not reused.
+            assert not pool.warm
+        assert _map_modes(recorder) == ["serial-fallback"]
 
     def test_fallback_warns_and_counts(self, caplog):
         # The silent-degradation fix: falling back to serial must leave
         # an operator-visible trail — a WARNING log line and a
         # ``parallel.fallbacks`` counter that reaches Report.metrics.
-        import logging
-
-        from repro.obs import Recorder, use_recorder
-
         recorder = Recorder()
-        executor = ParallelExecutor(n_workers=2)
-        with use_recorder(recorder):
-            with caplog.at_level(
-                logging.WARNING, logger="repro.parallel.executor"
-            ):
-                executor.map(lambda x: 2 * x, [1, 2, 3])
+        with WorkerPool(2) as pool, use_recorder(recorder):
+            with caplog.at_level(logging.WARNING, logger="repro.parallel.pool"):
+                pool.map(lambda x: 2 * x, [1, 2, 3])
         assert any(
             "serially in-process" in record.message
             for record in caplog.records
@@ -102,23 +95,17 @@ class TestPoolPath:
         assert recorder.counter_totals().get("parallel.fallbacks") == 1
 
     def test_pool_success_logs_no_warning(self, caplog):
-        import logging
-
-        executor = ParallelExecutor(n_workers=2)
-        with caplog.at_level(logging.WARNING, logger="repro.parallel.executor"):
-            executor.map(_square, range(8))
+        with WorkerPool(2) as pool:
+            with caplog.at_level(logging.WARNING, logger="repro.parallel.pool"):
+                pool.map(_square, range(8))
         assert not caplog.records
 
     def test_matches_serial_exactly(self):
-        serial = ParallelExecutor(n_workers=1).map(_square, range(25))
-        parallel = ParallelExecutor(n_workers=3).map(_square, range(25))
-        assert serial == parallel
-
-
-class TestValidation:
-    def test_bad_chunksize_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ParallelExecutor(n_workers=2, chunksize=0)
+        serial = [_square(x) for x in range(25)]
+        with WorkerPool(3) as pool:
+            assert pool.map(_square, range(25)) == serial
+            # A second map reuses the warm executor with the same result.
+            assert pool.map(_square, range(25)) == serial
 
 
 class TestValidateWorkers:
@@ -141,8 +128,8 @@ class TestValidateWorkers:
             validate_workers(bad)
 
     def test_message_identical_to_engine_config(self):
-        """AnalysisConfig and the executor share one validation helper,
-        so a bad worker count reads the same wherever it is caught."""
+        """AnalysisConfig and the pool share one validation helper, so a
+        bad worker count reads the same wherever it is caught."""
         from repro.core.engine import AnalysisConfig
         from repro.parallel import validate_workers
 

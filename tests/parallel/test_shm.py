@@ -2,7 +2,7 @@
 
 Covers the zero-copy contract end to end: publish/attach round-trips,
 read-only views, unlink-on-close with no ``/dev/shm`` leak, graceful
-degradation (:class:`SharedMemoryUnavailable` → pickled fallback),
+degradation (:class:`SharedMemoryUnavailable` → serial block loop),
 :class:`WorkerPool` reuse/fallback/segment-registry semantics, the
 pid-guarded ambient pool, and the acceptance criterion that per-task
 scan payloads no longer carry the matrix arrays.
@@ -199,6 +199,46 @@ class TestAmbientPool:
             assert current_pool() is None
         pool._pid -= 1
         pool.close()
+
+
+class TestSharedMemoryFallback:
+    def test_unavailable_shm_scans_serially(self, monkeypatch, caplog):
+        """Without shared memory the scan runs its blocks in-process:
+        same pairs, one ``shm.unavailable``, a WARNING, and no pool."""
+        from repro.core.grouping import cooccurrence
+        from repro.obs import Recorder, use_recorder
+        from repro.parallel import pool as pool_module
+
+        def refuse(arrays):
+            raise SharedMemoryUnavailable("no /dev/shm here")
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was created")
+
+        rng = np.random.default_rng(4)
+        csr = sp.csr_matrix((rng.random((40, 30)) < 0.3).astype(np.int64))
+        norms = np.asarray(csr.sum(axis=1)).ravel().astype(np.int64)
+        serial = cooccurrence.blocked_scan(
+            csr, norms, k=1, block_rows=7, kernel="sparse"
+        )
+        monkeypatch.setattr(cooccurrence, "publish", refuse)
+        monkeypatch.setattr(pool_module, "ProcessPoolExecutor", no_pool)
+        recorder = Recorder()
+        with use_recorder(recorder), recorder.span("scan"), caplog.at_level(
+            logging.WARNING, logger="repro.core.grouping.cooccurrence"
+        ):
+            scan = cooccurrence.blocked_scan(
+                csr, norms, k=1, block_rows=7, n_workers=2, kernel="sparse"
+            )
+        assert scan.n_blocks == 6
+        assert (scan.rows.tolist(), scan.cols.tolist()) == (
+            serial.rows.tolist(), serial.cols.tolist()
+        )
+        assert recorder.counter_totals()["shm.unavailable"] == 1
+        assert any(
+            "shared memory unavailable" in record.message
+            for record in caplog.records
+        )
 
 
 class TestZeroCopyContract:

@@ -391,16 +391,19 @@ class TestWarmPool:
         service.close()
 
     def test_pool_created_when_scans_fan_out(self):
-        service = make_service(
-            analysis=AnalysisConfig(finder_options={"n_workers": 2})
-        )
-        service.start()
-        assert service._pool is not None
-        assert service._pool.n_workers == 2
-        pool = service._pool
-        service.close()
-        assert pool.closed
-        assert service._pool is None
+        # The second config is what ``serve --workers 2`` builds.
+        for analysis in (
+            AnalysisConfig(finder_options={"n_workers": 2}),
+            AnalysisConfig(n_workers=2),
+        ):
+            service = make_service(analysis=analysis)
+            service.start()
+            assert service._pool is not None, analysis
+            assert service._pool.n_workers == 2
+            pool = service._pool
+            service.close()
+            assert pool.closed
+            assert service._pool is None
 
     def test_analyze_runs_with_warm_pool(self):
         service = make_service(
@@ -506,3 +509,30 @@ class TestHTTPBinding:
         meta = json.loads(snapshot.read_text())["meta"]
         assert meta["extra"]["reason"] == "test-shutdown"
         assert meta["mutation_seq"] == service.mutation_seq
+
+    def test_oversized_body_rejected_unread(self):
+        import http.client
+
+        from repro.service.server import MAX_BODY_BYTES
+
+        service = make_service()
+        server = ServiceServer(service, port=0)
+        server.start()
+        try:
+            host, port = server.address
+            connection = http.client.HTTPConnection(host, port, timeout=10)
+            # Declare a body over the cap but send none of it: the
+            # answer must come without the server waiting to read it.
+            connection.putrequest("POST", "/v1/mutations")
+            connection.putheader("Content-Length", str(MAX_BODY_BYTES + 1))
+            connection.endheaders()
+            response = connection.getresponse()
+            payload = json.loads(response.read())
+            assert response.status == 413
+            assert str(MAX_BODY_BYTES) in payload["error"]
+            assert response.getheader("Connection") == "close"
+            connection.close()
+            # The request never reached the service.
+            assert service.mutation_seq == 0
+        finally:
+            server.stop(reason="test-shutdown")
